@@ -120,18 +120,12 @@ def ablation_view_memo() -> list[list]:
         )
         engine.catalog.add_schema(schema)
         if not memoize:
-            # disable the per-execution view cache
-            import repro.core.engine as engine_module
+            # disable the per-plan memo of unfolded view bodies: each
+            # clause over the view runs the body's fragments itself
+            from repro.algebra.unfold import UnfoldView
 
-            original = engine_module._ExecutionContext.fetch_view
-
-            def uncached(self, view):
-                result = self.engine._execute(
-                    view.query, self.policy, self.required_sources, parent=self
-                )
-                return result.elements
-
-            engine_module._ExecutionContext.fetch_view = uncached
+            original = UnfoldView._body_rows
+            UnfoldView._body_rows = lambda self: list(self.children[0])
         try:
             before = clock.now
             result = BENCH_STATS.absorb(engine.query(A2_QUERY))
@@ -143,7 +137,7 @@ def ablation_view_memo() -> list[list]:
             ])
         finally:
             if not memoize:
-                engine_module._ExecutionContext.fetch_view = original
+                UnfoldView._body_rows = original
     return rows
 
 

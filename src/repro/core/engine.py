@@ -1505,6 +1505,15 @@ class NimbleEngine:
             return None
         return self.column_stats.column(access_key(fragment), var)
 
+    def _resident_views(self) -> frozenset[str]:
+        """Mediated views answered from stored elements, never unfolded."""
+        names: set[str] = set()
+        if self.materializer is not None:
+            names.update(self.materializer.views)
+        if self.incremental is not None:
+            names.update(self.incremental.views)
+        return frozenset(names)
+
     def _compile(self, query: str | qast.Query,
                  stats: EngineStats | None = None) -> DecomposedQuery:
         """Parse→bind→decompose, cached per query text + catalog epoch.
@@ -1513,14 +1522,17 @@ class NimbleEngine:
         *before* parsing — a cached query costs one dict lookup, no
         re-parse, no re-plan.  An entry is only valid while the
         catalog's version epoch (bumped on any source, mapping, schema,
-        or view registration) matches the one it was compiled under.
+        or view registration) and the set of materialized or maintained
+        views (which decide what unfolds) match the ones it was compiled
+        under.
         ASTs passed directly bypass the cache.  The compiled
         :class:`DecomposedQuery` is immutable after decomposition, so
         reuse across executions is safe — the plan builder constructs
         fresh operators every run.
         """
         text = query if isinstance(query, str) else None
-        epoch = self.catalog.version
+        resident = self._resident_views()
+        epoch = (self.catalog.version, resident)
         caching = text is not None and self.plan_cache_size > 0
         if caching:
             entry = self._plan_cache.get(text)
@@ -1539,7 +1551,8 @@ class NimbleEngine:
             bound = bind_query(query)
         with tracer.span("decompose"):
             decomposed = decompose(bound, self.catalog, self.pushdown,
-                                   projection=self.projection_pushdown)
+                                   projection=self.projection_pushdown,
+                                   resident_views=resident)
         if caching:
             self.plan_cache_misses += 1
             self._plan_cache[text] = (epoch, decomposed)

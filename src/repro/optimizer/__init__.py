@@ -20,6 +20,7 @@ from repro.optimizer.costs import CostModel, FragmentEstimate
 from repro.optimizer.decomposer import (
     DecomposedQuery,
     FragmentUnit,
+    UnfoldedViewUnit,
     ViewUnit,
     decompose,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "FragmentUnit",
     "PlanBuilder",
     "RoutingDecision",
+    "UnfoldedViewUnit",
     "ViewUnit",
     "decompose",
     "merge_strategy",

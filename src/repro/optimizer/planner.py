@@ -17,12 +17,18 @@ from repro.algebra import (
 )
 from repro.algebra.joins import BatchedDependentJoin, DependentJoin
 from repro.algebra.operators import Limit, fuse_sort_limit
+from repro.algebra.unfold import UnfoldView
 from repro.algebra.tuples import BindingTuple
 from repro.algebra.vector import RecordBatch, shred_records
 from repro.errors import PlanningError
 from repro.mediator.schema import ViewDef
 from repro.optimizer.costs import CostModel
-from repro.optimizer.decomposer import DecomposedQuery, FragmentUnit, Unit
+from repro.optimizer.decomposer import (
+    DecomposedQuery,
+    FragmentUnit,
+    UnfoldedViewUnit,
+    Unit,
+)
 from repro.query import ast as qast
 from repro.query.exprs import compile_predicate, compile_sort_key
 from repro.query.translate import pattern_to_tree, template_to_construct
@@ -96,15 +102,25 @@ def independent_fragment_units(decomposed: DecomposedQuery) -> list[FragmentUnit
     """The plan's non-dependent remote fragments, in execution order.
 
     These are the units with no input-variable dependencies — exactly
-    the set a fetch pool can overlap.  Ordered like the plan itself
-    (:meth:`PlanBuilder._order_units` on cost estimates is deterministic)
-    so the prefetch scheduler issues source calls in a stable sequence.
+    the set a fetch pool can overlap.  Unfolded views contribute their
+    bodies' fragments in their place (a body two clauses share, once).
+    Ordered by the decomposition, which is deterministic, so the
+    prefetch scheduler issues source calls in a stable sequence.
     """
-    return [
-        unit
-        for unit in decomposed.units
-        if isinstance(unit, FragmentUnit) and not unit.dependent
-    ]
+    units: list[FragmentUnit] = []
+    bodies: set[int] = set()
+
+    def collect(query: DecomposedQuery) -> None:
+        for unit in query.units:
+            if isinstance(unit, UnfoldedViewUnit):
+                if id(unit.body) not in bodies:
+                    bodies.add(id(unit.body))
+                    collect(unit.body)
+            elif isinstance(unit, FragmentUnit) and not unit.dependent:
+                units.append(unit)
+
+    collect(decomposed)
+    return units
 
 
 class PlanBuilder:
@@ -152,9 +168,16 @@ class PlanBuilder:
         return Plan(root, output_var)
 
     def build_binding_tree(
-        self, decomposed: DecomposedQuery, context: ExecutionContext
+        self, decomposed: DecomposedQuery, context: ExecutionContext,
+        memo: dict | None = None,
     ) -> Operator:
-        """Joins of all units plus residual conditions (no construct)."""
+        """Joins of all units plus residual conditions (no construct).
+
+        ``memo`` is shared by the unfolded views of one plan (nested
+        ones included), so a view body two clauses read runs once.
+        """
+        if memo is None:
+            memo = {}
         ordered = self._order_units(decomposed.units)
         pending = [
             (condition, frozenset(qast.expr_variables(condition)))
@@ -192,7 +215,7 @@ class PlanBuilder:
                         ),
                     )
             else:
-                step = self._unit_operator(unit, context)
+                step = self._unit_operator(unit, context, memo)
                 if root is None:
                     root = step
                 else:
@@ -235,8 +258,9 @@ class PlanBuilder:
                     resident = self.cost_model.residency(unit.fragment)
                     if resident is not None:
                         return (0, float(resident))
-                return (1, self.cost_model.estimate_rows(unit.fragment,
-                                                         unit.source))
+                return (1, self.cost_model.estimate_rows(
+                    unit.declared or unit.fragment, unit.source
+                ))
             loaded = self._loaded_view_size(unit.view.name)
             if loaded is not None:
                 return (0, float(loaded))
@@ -272,18 +296,23 @@ class PlanBuilder:
             return None
         return len(cached.elements)
 
-    def _unit_operator(self, unit: Unit, context: ExecutionContext) -> Operator:
+    def _unit_operator(self, unit: Unit, context: ExecutionContext,
+                       memo: dict) -> Operator:
         if isinstance(unit, FragmentUnit):
             scan = FragmentScan(unit, context)
             scan.estimated_rows = self.cost_model.estimate_rows(
                 unit.fragment, unit.source
             )
             return scan
+        if isinstance(unit, UnfoldedViewUnit):
+            body = self.build_binding_tree(unit.body, context, memo)
+            return UnfoldView(body, unit.template, unit.pattern,
+                              unit.view.name, memo, id(unit.body))
         context_var = f"__view_{unit.view.name}"
         scan = CallbackScan(
             context_var,
             lambda view=unit.view: context.fetch_view(view),
-            label=unit.view.name,
+            label=unit.describe(),
         )
         return PatternMatch(scan, context_var, pattern_to_tree(unit.clause.pattern))
 

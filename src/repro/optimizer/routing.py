@@ -35,7 +35,12 @@ from typing import Any, Callable, Mapping
 
 from repro.algebra.merge import flat_template
 from repro.materialize.matching import implies
-from repro.optimizer.decomposer import DecomposedQuery, FragmentUnit, ViewUnit
+from repro.optimizer.decomposer import (
+    DecomposedQuery,
+    FragmentUnit,
+    UnfoldedViewUnit,
+    ViewUnit,
+)
 from repro.query import ast as qast
 from repro.query.translate import template_to_construct
 from repro.sources.base import Fragment
@@ -160,7 +165,7 @@ def route(
     partitioned: list[tuple[FragmentUnit, ShardMap, str | None]] = []
     has_view = False
     for unit in decomposed.units:
-        if isinstance(unit, ViewUnit):
+        if isinstance(unit, (ViewUnit, UnfoldedViewUnit)):
             has_view = True
             continue
         shard_map = shard_maps.get(unit.source.name)

@@ -82,6 +82,48 @@ class Fragment:
 
 
 @dataclass(frozen=True)
+class ValueDomain:
+    """The atomic values a source may bind to one variable.
+
+    ``kind`` is the model type name (``string``, ``number``, ``boolean``
+    or ``date``).  ``nullable`` admits NULL; ``stripped`` says strings
+    carry no surrounding whitespace; ``strict`` says the source compares
+    a value only with literals of its own kind (SQL raises otherwise,
+    where the engine would coerce numeric text); ``nan`` admits NaN.
+    ``index`` names the index the source may answer a condition on it
+    from (``hash`` or ``sorted``): a sorted index returns a range in key
+    order rather than in scan order, and no index lookup returns the NaN
+    rows a scan's comparison would keep.
+    """
+
+    kind: str
+    nullable: bool = False
+    stripped: bool = False
+    strict: bool = False
+    nan: bool = False
+    index: str = ""
+
+
+def text_domains(pattern: TreePattern) -> dict[str, ValueDomain]:
+    """Domains of the variables ``pattern`` binds when it matches XML.
+
+    Attributes bind their text as written; element content is bound
+    stripped.  ``ELEMENT_AS`` variables bind nodes and get no domain.
+    """
+    domains: dict[str, ValueDomain] = {}
+    pending = [pattern]
+    while pending:
+        node = pending.pop()
+        for attribute in node.attributes:
+            if attribute.var is not None:
+                domains.setdefault(attribute.var, ValueDomain("string"))
+        if node.text_var is not None:
+            domains[node.text_var] = ValueDomain("string", stripped=True)
+        pending.extend(node.children)
+    return domains
+
+
+@dataclass(frozen=True)
 class CapabilityProfile:
     """What a source can evaluate natively (paper sections 2.1, 4).
 
@@ -238,6 +280,20 @@ class DataSource:
     def relations(self) -> dict[str, RecordType]:
         """Exported relation name -> record type."""
         raise NotImplementedError
+
+    def value_domains(self, access: Access) -> dict[str, ValueDomain]:
+        """What the source guarantees about each variable ``access`` binds.
+
+        Variables missing from the map have unknown values (the default
+        for every source that does not say more).
+        """
+        return {}
+
+    def key_field(self, relation: str) -> str | None:
+        """The field whose value identifies one record of ``relation``."""
+        if self.changelog is None:
+            return None
+        return self.changelog.key_field(relation)
 
     def cardinality(self, relation: str) -> int:
         """Estimated row count of a relation (for the cost model)."""

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.sources.base import DataSource, Fragment
+from repro.sources.base import Access, DataSource, Fragment, ValueDomain
 from repro.xmldm.schema import RecordType
 from repro.xmldm.values import Record
 
@@ -89,6 +89,12 @@ class FlakySource(DataSource):
 
     def cardinality(self, relation: str) -> int:
         return self.inner.cardinality(relation)
+
+    def value_domains(self, access: Access) -> dict[str, ValueDomain]:
+        return self.inner.value_domains(access)
+
+    def key_field(self, relation: str) -> str | None:
+        return self.inner.key_field(relation)
 
     def available(self) -> bool:
         if self.forced_offline:

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.sources.base import CapabilityProfile, DataSource, Fragment, NetworkModel
+from repro.sources.base import (
+    Access,
+    CapabilityProfile,
+    DataSource,
+    Fragment,
+    NetworkModel,
+    ValueDomain,
+)
 from repro.sources.sqlgen import generate_sql
 from repro.simtime import SimClock
 from repro.sql.database import Database
+from repro.sql.index import SortedIndex
 from repro.sql.types import SQLType
 from repro.xmldm.schema import Field, RecordType
 from repro.xmldm.values import NULL, Record
@@ -106,14 +114,40 @@ class RelationalSource(DataSource):
                     log.declare_key(relation, pk.name)
         return log
 
-    def _key_field(self, relation: str) -> str | None:
+    def key_field(self, relation: str) -> str | None:
         """CDC-declared key first, else the table's primary key."""
-        if self.changelog is not None:
-            declared = self.changelog.key_field(relation)
-            if declared is not None:
-                return declared
+        declared = super().key_field(relation)
+        if declared is not None or relation not in self.database.tables:
+            return declared
         pk = self.database.table(relation).schema.primary_key
         return pk.name if pk is not None else None
+
+    def value_domains(self, access: Access) -> dict[str, ValueDomain]:
+        """Column types: NOT NULL and primary-key columns never bind NULL."""
+        if access.relation not in self.database.tables:
+            return {}
+        table = self.database.table(access.relation)
+        schema = table.schema
+        pattern = access.pattern
+        bindings = [(a.name, a.var) for a in pattern.attributes]
+        bindings += [(c.tag, c.text_var) for c in pattern.children]
+        domains: dict[str, ValueDomain] = {}
+        for field_name, var in bindings:
+            if var is None or var in domains or not schema.has_column(field_name):
+                continue
+            column = schema.column(field_name)
+            indexes = table.indexes_on(field_name)
+            domains[var] = ValueDomain(
+                _SQL_TO_MODEL[column.type],
+                nullable=column.nullable and not column.primary_key,
+                strict=True,
+                nan=column.type is SQLType.REAL,
+                index=(
+                    "sorted" if any(isinstance(i, SortedIndex) for i in indexes)
+                    else "hash" if indexes else ""
+                ),
+            )
+        return domains
 
     def _row_record(self, relation: str, row: tuple) -> Record:
         names = self.database.table(relation).schema.column_names
@@ -125,13 +159,28 @@ class RelationalSource(DataSource):
         )
 
     def _find_rowid(self, relation: str, key: Any) -> tuple[int, tuple] | None:
+        """The live row whose key field equals ``key``.
+
+        Answered from an index over the key column (the primary key's
+        hash index, or any secondary index); only a CDC-declared key
+        without an index falls back to scanning the table.
+        """
         table = self.database.table(relation)
-        key_field = self._key_field(relation)
+        key_field = self.key_field(relation)
         if key_field is None:
             return None
-        index = table.schema.column_index(key_field)
-        for rowid, row in table.scan():
-            if row[index] == key:
+        position = table.schema.column_index(key_field)
+        indexes = table.indexes_on(key_field)
+        if key is not None and key != key:
+            return None  # NaN equals no stored key
+        if indexes and key is not None:  # NULL keys are never indexed
+            candidates = (
+                (rowid, table.get(rowid)) for rowid in indexes[0].lookup(key)
+            )
+        else:
+            candidates = table.scan()
+        for rowid, row in candidates:
+            if row is not None and row[position] == key:
                 return rowid, row
         return None
 
@@ -141,7 +190,7 @@ class RelationalSource(DataSource):
         rowid = table.insert_named(values)
         if self.changelog is None:
             return
-        key_field = self._key_field(relation)
+        key_field = self.key_field(relation)
         if key_field is None:
             self.changelog.emit_reset(relation)
             return
@@ -162,7 +211,7 @@ class RelationalSource(DataSource):
             return
         before = self._row_record(relation, old_row)
         after = self._row_record(relation, table.get(rowid))
-        key_field = self._key_field(relation)
+        key_field = self.key_field(relation)
         if after.get(key_field) != before.get(key_field):
             # a key change is a delete plus an insert in delta terms;
             # keep it simple and force derived state to rebuild

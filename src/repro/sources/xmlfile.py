@@ -15,7 +15,15 @@ from repro.algebra.pattern import match_pattern
 from repro.query.exprs import compile_predicate
 from repro.algebra.tuples import BindingTuple
 from repro.errors import CapabilityError
-from repro.sources.base import CapabilityProfile, DataSource, Fragment, NetworkModel
+from repro.sources.base import (
+    Access,
+    CapabilityProfile,
+    DataSource,
+    Fragment,
+    NetworkModel,
+    ValueDomain,
+    text_domains,
+)
 from repro.simtime import SimClock
 from repro.xmldm.document import Document
 from repro.xmldm.parser import parse_document
@@ -95,6 +103,9 @@ class XMLSource(DataSource):
     def relations(self) -> dict[str, RecordType]:
         # Documents are semi-structured: exported with an open record type.
         return {name: RecordType(name) for name in self.documents}
+
+    def value_domains(self, access: Access) -> dict[str, ValueDomain]:
+        return text_domains(access.pattern)
 
     def cardinality(self, relation: str) -> int:
         document = self.documents.get(relation)

@@ -45,6 +45,12 @@ DEPENDENT_QUERY = (
     "CONSTRUCT <row sku=$s><rating>$rt</rating></row> ORDER BY $s"
 )
 
+PAGE_RANGE_QUERY = (
+    'WHERE <page sku=$s><name>$n</name><price>$p</price></page> '
+    'IN "product_page", $p < 250 '
+    "CONSTRUCT <row sku=$s><price>$p</price></row> ORDER BY $s"
+)
+
 STOCK_QUERY = (
     'WHERE <t><sku>$s</sku><price>$p</price></t> IN "stock", $p > 100 '
     "CONSTRUCT <row sku=$s><price>$p</price></row> ORDER BY $s"
@@ -406,7 +412,7 @@ class TestCacheTransparency:
     @settings(max_examples=20, deadline=None)
     def test_results_identical_cache_on_or_off(self, cache_bytes, fan_out,
                                                batch_size, repeats, seed):
-        for query in (FANOUT_QUERY, DEPENDENT_QUERY):
+        for query in (FANOUT_QUERY, DEPENDENT_QUERY, PAGE_RANGE_QUERY):
             _, bare = make_engine(cache_bytes=0, seed=seed)
             _, cached = make_engine(
                 cache_bytes=cache_bytes, seed=seed,

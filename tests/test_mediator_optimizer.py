@@ -8,7 +8,7 @@ from repro.mediator.mapping import RelationMapping
 from repro.mediator.schema import MediatedSchema, ViewDef
 from repro.optimizer import CostModel, decompose
 from repro.optimizer.costs import condition_selectivity
-from repro.optimizer.decomposer import FragmentUnit, ViewUnit
+from repro.optimizer.decomposer import FragmentUnit, UnfoldedViewUnit, ViewUnit
 from repro.query import ast as qast
 from repro.query.binder import bind_query
 from repro.query.parser import parse_query
@@ -194,7 +194,24 @@ class TestDecomposer:
             ),
             catalog,
         )
-        assert isinstance(decomposed.units[0], ViewUnit)
+        # the view unfolds: its body becomes the unit's own fragments
+        unit = decomposed.units[0]
+        assert isinstance(unit, UnfoldedViewUnit)
+        assert unit.view.name == "top_customers"
+        (body,) = unit.body.units
+        assert isinstance(body, FragmentUnit)
+        assert body.fragment.accesses[0].relation == "customers"
+        # a materialized view keeps the sub-query path
+        resident = decompose(
+            bound(
+                'WHERE <tc><name>$n</name></tc> IN "top_customers" '
+                "CONSTRUCT <r>$n</r>"
+            ),
+            catalog,
+            resident_views=frozenset({"top_customers"}),
+        )
+        assert isinstance(resident.units[0], ViewUnit)
+        assert "not unfolded: view is materialized" in resident.describe()
 
 
 class TestCostModel:

@@ -191,10 +191,21 @@ class TestEngineCorners:
         schema.define_view(
             "v", 'WHERE <c><name>$n</name></c> IN "customers" CONSTRUCT <x>$n</x>'
         )
+        schema.define_view(
+            "w", 'WHERE <c><name>$n</name></c> IN "customers" CONSTRUCT <x>$n</x> '
+            "ORDER BY $n"
+        )
         catalog.add_schema(schema)
         engine = NimbleEngine(catalog)
         plan = engine.explain('WHERE <x>$n</x> IN "v" CONSTRUCT <r>$n</r>')
-        assert "CallbackScan($__view_v" in plan
+        assert "Unfolded(v; group by $n)" in plan
+        assert "FragmentScan(Fragment(crm: customers" in plan
+        # a view that does not unfold keeps the sub-query scan, with why
+        plan = engine.explain('WHERE <x>$n</x> IN "w" CONSTRUCT <r>$n</r>')
+        assert (
+            "CallbackScan($__view_w, View(w; not unfolded: view has ORDER BY))"
+            in plan
+        )
 
     def test_flwor_empty_source(self, catalog):
         engine = NimbleEngine(catalog)

@@ -80,6 +80,11 @@ ITEMS_QUERY = (
     "CONSTRUCT <r><k>$k</k><v>$v</v></r> ORDER BY $k"
 )
 
+VIEW_QUERY = (
+    'WHERE <r><k>$k</k><v>$v</v></r> IN "big_items", $k < 6 '
+    "CONSTRUCT <x k=$k>$v</x> ORDER BY $k"
+)
+
 RANGE_QUERY = (
     'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items", $k < 4 '
     "CONSTRUCT <r><k>$k</k><v>$v</v></r> ORDER BY $k"
@@ -507,6 +512,7 @@ def _run_workload(provenance: bool, n_rows, seed, cache, faulty,
         engine.sync_changes()
     outputs.append(rendered(engine.query(ITEMS_QUERY)))
     outputs.append(rendered(engine.query(RANGE_QUERY)))
+    outputs.append(rendered(engine.query(VIEW_QUERY)))
     if sharded:
         deployment = partition_registry(
             engine.catalog.registry, {"s": "k"}, 2

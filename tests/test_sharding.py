@@ -28,6 +28,7 @@ from repro.core.loadbalance import EngineCluster
 from repro.core.sharding import ShardRouter, retarget
 from repro.materialize.matching import implies
 from repro.mediator.catalog import Catalog
+from repro.mediator.schema import MediatedSchema
 from repro.optimizer.routing import (
     MERGE_DISTINCT,
     MERGE_ORDERED,
@@ -86,6 +87,13 @@ def build_catalog(rows, faults=None, network=None):
     registry.register(source)
     catalog = Catalog(registry)
     catalog.map_relation("items", "s", "t")
+    views = MediatedSchema("pages")
+    views.define_view(
+        "item_page",
+        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
+        "CONSTRUCT <item k=$k><grp>$g</grp><v>$v</v></item>",
+    )
+    catalog.add_schema(views)
     return catalog
 
 
@@ -126,6 +134,9 @@ QUERIES = [
     # key-range predicate (exercises pruning inside the sweep)
     'WHERE <i><k>$k</k><v>$v</v></i> IN "items", $k >= 12 '
     'CONSTRUCT <r>$k</r>',
+    # an unfolded mediated view, its key condition pushed into the body
+    'WHERE <item k=$k><v>$v</v></item> IN "item_page", $k >= 3, $v > 2 '
+    'CONSTRUCT <r k=$k>$v</r> ORDER BY $v DESC',
 ]
 
 

@@ -189,6 +189,41 @@ class TestRelationalSource:
         source.execute(fragment)
         assert clock.now == 104.0  # 100 latency + 4 rows
 
+    def test_keyed_writes_use_the_primary_key_index(self, clock, monkeypatch):
+        db = build_crm_database()
+        source = RelationalSource("crm", db, clock)
+        source.enable_cdc()
+        table = db.table("customers")
+
+        def no_scan():
+            raise AssertionError("keyed write scanned the table")
+
+        monkeypatch.setattr(table, "scan", no_scan)
+        source.update_row("customers", 3, {"city": "Boise"})
+        source.delete_row("customers", 1)
+        with pytest.raises(KeyError):
+            source.update_row("customers", 99, {"city": "Nowhere"})
+        with pytest.raises(KeyError):
+            source.delete_row("customers", float("nan"))
+        monkeypatch.undo()
+        assert [row for _, row in table.scan()] == [
+            (2, "Bob", "Portland", 2), (3, "Cam", "Boise", 1),
+            (4, "Dee", "Boise", 3),
+        ]
+        ops = [change.op for change in source.changelog.since(0)]
+        assert ops == ["update", "delete"]
+
+    def test_declared_key_without_an_index_falls_back_to_a_scan(self, clock):
+        db = build_crm_database()
+        source = RelationalSource("crm", db, clock)
+        source.enable_cdc({"customers": "name"})
+        source.update_row("customers", "Dee", {"tier": 1})
+        assert db.table("customers").get(3)[3] == 1
+        # a declared key over an indexed column reads that index
+        source.enable_cdc({"customers": "city"})
+        source.delete_row("customers", "Seattle")
+        assert db.table("customers").get(0) is None
+
 
 class TestXMLSource:
     def test_pattern_and_condition_at_source(self, clock):
