@@ -15,14 +15,21 @@ The claims under test:
    landing and the next sync applying it.
 4. **Bit-identity**: after every churn batch, maintained view elements
    are byte-identical to a full re-execution of the view queries.
+5. **Both clocks**: the wall time of one ``sync_changes`` follows the
+   delta too — at a fixed 20 changes per sync it stays flat as the base
+   grows from 4k to 40k rows.
 
-All timing is virtual (``SimClock``): the network model charges every
-source fetch, delta refreshes charge only local per-row work.
+Claims 1-3 are on the virtual clock (``SimClock``): the network model
+charges every source fetch, delta refreshes charge only local per-row
+work.  Claim 5 is wall time (``time.perf_counter``, median of repeats),
+which the virtual clock never sees.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -43,22 +50,33 @@ CHURN_RATES = (0.001, 0.01, 0.1)
 TARGET_SPEEDUP_AT_1PCT = 10.0
 TARGET_RETENTION = 0.90
 NETWORK = dict(latency_ms=5.0, per_row_ms=0.05)
+#: wall-time repeats (fresh deployments) behind each median
+WALL_REPEATS = 3
+#: base-size sweep: rows, at a fixed number of changes per sync
+BASE_SIZES = (4_000, 10_000, 20_000, 40_000)
+SWEEP_CHANGES = 20
+SWEEP_SYNCS = 5
 
-VIEWS = {
-    # rows mode: predicate on the key, so value churn never flips
-    # membership and the delta path stays hot
-    "lower_half": (
-        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items", '
-        f"$k < {N_ROWS // 2} CONSTRUCT <r><k>$k</k><v>$v</v></r>"
-    ),
-    # groups mode: count/sum/avg retract exactly, so every churn batch
-    # propagates as per-group state arithmetic
-    "by_group": (
-        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
-        "CONSTRUCT <g id=$g><n>count($v)</n><total>sum($v)</total>"
-        "<mean>avg($v)</mean></g>"
-    ),
-}
+
+def views(n_rows: int) -> dict[str, str]:
+    return {
+        # rows mode: predicate on the key, so value churn never flips
+        # membership and the delta path stays hot
+        "lower_half": (
+            'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items", '
+            f"$k < {n_rows // 2} CONSTRUCT <r><k>$k</k><v>$v</v></r>"
+        ),
+        # groups mode: count/sum/avg retract exactly, so every churn
+        # batch propagates as per-group state arithmetic
+        "by_group": (
+            'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
+            "CONSTRUCT <g id=$g><n>count($v)</n><total>sum($v)</total>"
+            "<mean>avg($v)</mean></g>"
+        ),
+    }
+
+
+VIEWS = views(N_ROWS)
 
 
 def make_rows(n: int = N_ROWS) -> list[tuple[int, int, int]]:
@@ -78,7 +96,7 @@ def build_engine(rows, **engine_kw):
     catalog = Catalog(registry)
     catalog.map_relation("items", "s", "t")
     schema = MediatedSchema("m")
-    for name, text in VIEWS.items():
+    for name, text in views(len(rows)).items():
         schema.define(ViewDef.from_text(name, text))
     catalog.add_schema(schema)
     engine = NimbleEngine(
@@ -88,13 +106,13 @@ def build_engine(rows, **engine_kw):
     return engine, source
 
 
-def churn_ops(rate: float, batch: int, next_key: int):
+def churn_ops(rate: float, batch: int, next_key: int, n_rows: int = N_ROWS):
     """A deterministic churn batch: updates spread over the key space,
     one delete and one insert per 10 touched rows."""
-    touched = max(1, int(N_ROWS * rate))
+    touched = max(1, round(n_rows * rate))
     ops = []
     for i in range(touched):
-        key = (i * 37 + batch * 101) % N_ROWS
+        key = (i * 37 + batch * 101) % n_rows
         if i % 10 == 3:
             ops.append(("delete", key, 0, 0))
         elif i % 10 == 7:
@@ -187,11 +205,56 @@ def refresh_sweep(bench_stats):
         counters = incremental.cdc_stats.cdc_counters()
         table.append([
             f"{rate:.1%}", round(inc_ms, 2), round(full_ms, 2),
-            round(speedup, 1), round(worst_staleness, 1),
+            round(speedup, 1), round(sync_wall_ms(N_ROWS, rate, 3), 2),
+            round(worst_staleness, 1),
             counters["views_delta_refreshed"],
             counters["views_full_rebuilt"],
         ])
     return table, speedups, staleness, identity_cells
+
+
+# -- claim 5: the wall clock ----------------------------------------------
+
+
+def sync_wall_ms(n_rows: int, rate: float, syncs: int,
+                 cache_buckets: bool = False) -> float:
+    """Median wall ms of one ``sync_changes`` over fresh deployments.
+
+    Each repeat maintains both views (plus, with ``cache_buckets``, the
+    20 key-range bucket fragments warmed into the fragment cache), then
+    times ``syncs`` churn batches; set-up and writes are not timed.
+    """
+    samples = []
+    for _ in range(WALL_REPEATS):
+        engine, source = build_engine(
+            make_rows(n_rows), incremental=True,
+            fragment_cache_bytes=64_000_000 if cache_buckets else 0,
+        )
+        for name in VIEWS:
+            engine.maintain_view(name)
+        if cache_buckets:
+            for query in _bucket_queries(n_rows):
+                engine.query(query)
+        next_key = n_rows
+        dead: set = set()
+        for batch in range(syncs):
+            ops, next_key = churn_ops(rate, batch, next_key, n_rows)
+            apply_ops(source, ops, dead)
+            engine.clock.advance(50.0)
+            started = time.perf_counter()
+            engine.sync_changes()
+            samples.append((time.perf_counter() - started) * 1e3)
+    return statistics.median(samples)
+
+
+def base_size_sweep():
+    """Wall ms per sync at a fixed delta while the base grows."""
+    table = []
+    for n_rows in BASE_SIZES:
+        wall = sync_wall_ms(n_rows, SWEEP_CHANGES / n_rows, SWEEP_SYNCS,
+                            cache_buckets=True)
+        table.append([f"{n_rows:,}", SWEEP_CHANGES, round(wall, 2)])
+    return table
 
 
 # -- claim 2: scoped invalidation vs the epoch bump ---------------------------
@@ -200,8 +263,8 @@ def refresh_sweep(bench_stats):
 N_BUCKETS = 20
 
 
-def _bucket_queries():
-    width = N_ROWS // N_BUCKETS
+def _bucket_queries(n_rows: int = N_ROWS):
+    width = n_rows // N_BUCKETS
     return [
         (
             'WHERE <i><k>$k</k><v>$v</v></i> IN "items", '
@@ -252,6 +315,11 @@ def invalidation_rows(bench_stats):
 
 # -- report -------------------------------------------------------------------
 
+SWEEP_COLUMNS = ["churn", "delta virtual ms", "full virtual ms", "speedup",
+                 "sync wall ms", "staleness ms", "delta refreshes",
+                 "rebuilds"]
+BASE_COLUMNS = ["base rows", "changes per sync", "sync wall ms"]
+
 
 def report():
     from common import BenchStats, print_table, write_bench_json
@@ -265,9 +333,16 @@ def report():
     print_table(
         f"E17: delta refresh vs full re-materialization ({N_ROWS:,} rows, "
         "3 churn batches each)",
-        ["churn", "delta ms", "full ms", "speedup", "staleness ms",
-         "delta refreshes", "rebuilds"],
+        SWEEP_COLUMNS,
         sweep_table,
+    )
+    base_table = base_size_sweep()
+    print_table(
+        f"E17: wall ms per sync_changes vs base size ({SWEEP_CHANGES} "
+        f"changes per sync, median of {WALL_REPEATS} x {SWEEP_SYNCS} syncs; "
+        "both views plus 20 cached bucket fragments)",
+        BASE_COLUMNS,
+        base_table,
     )
     inval_table, scoped_retention, bumped_retention = invalidation_rows(
         bench_stats
@@ -297,8 +372,7 @@ def report():
 
     write_bench_json(
         "e17_incremental",
-        ["churn", "delta ms", "full ms", "speedup", "staleness ms",
-         "delta refreshes", "rebuilds"],
+        SWEEP_COLUMNS,
         sweep_table,
         headline={
             "speedup_at_1pct_churn": round(at_1pct, 1),
@@ -306,8 +380,13 @@ def report():
             "epoch_bump_retention": bumped_retention,
             "bit_identity_cells": identity_cells,
             "worst_staleness_ms_at_1pct": round(staleness[0.01], 1),
+            "sync_wall_ms_at_1pct": sweep_table[1][4],
+            "sync_wall_ms_40k_over_4k": round(
+                base_table[-1][2] / base_table[0][2], 2
+            ),
         },
         extra_tables={
+            "base_size": (BASE_COLUMNS, base_table),
             "invalidation": (
                 ["strategy", "retained", "patched", "evicted",
                  "re-probe hits", "retention"],

@@ -36,10 +36,22 @@ class AggregateSpec:
             raise ValueError(f"unknown aggregate kind {self.kind!r}")
 
 
+def summable(value: Any) -> bool:
+    """sum/avg fold numbers only.
+
+    A value that is still not a number after text coercion (non-numeric
+    text, a date, a node) is skipped the way NULL is, on every
+    aggregation path, and avg divides by the values it summed.
+    """
+    return isinstance(value, (int, float))
+
+
 def _aggregate(kind: str, values: list[Any]) -> Any:
     present = [v for v in values if not isinstance(v, Null) and v is not None]
     if kind == "count":
         return len(present)
+    if kind in ("sum", "avg"):
+        present = [v for v in present if summable(v)]
     if not present:
         return NULL
     if kind == "sum":

@@ -38,6 +38,7 @@ from repro.algebra.construct import (
     _numeric_or_self,
     build_elements,
 )
+from repro.algebra.grouping import summable
 from repro.algebra.tuples import BindingTuple
 from repro.xmldm.nodes import Element
 from repro.xmldm.values import NULL, Null, _comparison_key, compare_values
@@ -213,8 +214,8 @@ class PartialGroups:
                 continue
             if item.kind != "count":
                 value = _numeric_or_self(value)
-                # coercion can't make a value absent, so `present`
-                # counts the same rows the row path counts
+                if item.kind in ("sum", "avg") and not summable(value):
+                    continue  # skipped as on the row path
             self._fold(state, index, item.kind, value, 1)
 
     def merge(self, other: "PartialGroups") -> None:

@@ -27,6 +27,7 @@ from typing import Any, Mapping
 
 from repro.algebra.tuples import BindingTuple
 from repro.cache.keys import result_key
+from repro.cdc.scope import KeyBounds, KeyedRecords, residency_decision
 from repro.materialize.matching import access_key, matches, project_records
 from repro.materialize.policy import RefreshPolicy
 from repro.observability.tracing import NULL_TRACER, Tracer
@@ -74,11 +75,13 @@ class CacheEntry:
     key: str
     fragment: Fragment
     parameterized: bool
-    records: list[Record]
+    rows: KeyedRecords
     loaded_at: float
     epoch: Any
     policy: RefreshPolicy
     size_bytes: int
+    #: the fragment's key bounds, resolved once for scoped invalidation
+    bounds: KeyBounds
     hits: int = 0
 
     def is_fresh(self, now_ms: float) -> bool:
@@ -186,11 +189,11 @@ class FragmentResultCache:
                 self._entries.move_to_end(key)
                 entry.hits += 1
                 self.hits += 1
-                self._charge_local(len(entry.records))
+                self._charge_local(len(entry.rows))
                 self.tracer.event("cache_hit", source=fragment.source,
-                                  rows=len(entry.records))
+                                  rows=len(entry.rows))
                 return CachedResult(
-                    list(entry.records),
+                    list(entry.rows.records()),
                     age_ms=self.clock.now - entry.loaded_at,
                 )
         if self.containment and not params and not fragment.input_vars:
@@ -223,10 +226,10 @@ class FragmentResultCache:
         self._entries.move_to_end(key)
         entry.hits += 1
         self.stale_hits += 1
-        self._charge_local(len(entry.records))
+        self._charge_local(len(entry.rows))
         self.tracer.event("cache_stale_serve", source=fragment.source,
-                          rows=len(entry.records))
-        return CachedResult(list(entry.records),
+                          rows=len(entry.rows))
+        return CachedResult(list(entry.rows.records()),
                             stale=not entry.is_fresh(self.clock.now),
                             age_ms=self.clock.now - entry.loaded_at)
 
@@ -244,7 +247,7 @@ class FragmentResultCache:
             answers, residual = matches(entry.fragment, fragment)
             if not answers:
                 continue
-            records = list(entry.records)
+            records = list(entry.rows.records())
             if residual:
                 predicates = [compile_predicate(c) for c in residual]
                 records = [
@@ -275,7 +278,7 @@ class FragmentResultCache:
         entry = self._entries.get(self._key(fragment))
         if entry is None or not self._live(entry, epoch):
             return None
-        return len(entry.records)
+        return len(entry.rows)
 
     # -- loading -------------------------------------------------------------
 
@@ -299,11 +302,12 @@ class FragmentResultCache:
             key=key,
             fragment=fragment,
             parameterized=bool(params) or bool(fragment.input_vars),
-            records=list(records),
+            rows=KeyedRecords(records),
             loaded_at=self.clock.now,
             epoch=epoch,
             policy=self.policies.get(fragment.source, self.default_policy),
             size_bytes=size,
+            bounds=KeyBounds(fragment.conditions),
         )
         self._entries[key] = entry
         self.current_bytes += size
@@ -335,67 +339,51 @@ class FragmentResultCache:
         """Scoped invalidation: touch only entries the change can reach.
 
         Replaces the old epoch-bump story (every write killed every
-        entry) with a per-entry decision:
+        entry) with a per-entry decision
+        (:func:`repro.cdc.scope.residency_decision`):
 
         * a different relation, or pushed conditions that provably
-          exclude the changed key (:func:`repro.cdc.scope.key_affected`)
-          — **retained**, untouched;
-        * a patchable shape (:func:`repro.cdc.scope.fragment_patch`) —
-          records **patched** in place, sizes and ``loaded_at``
-          refreshed;
+          exclude the changed key — **retained**, untouched;
+        * a patchable shape — records **patched** in place, in
+          O(fan-out); the size moves by the patched records' bytes
+          and ``loaded_at`` is refreshed;
         * everything else (resets, parameterized entries, flip-ins) —
           **evicted**.
 
         Returns ``(patched, evicted, retained)`` entry counts.
         """
-        from repro.cdc.scope import (
-            change_key_var,
-            fragment_patch,
-            key_affected,
-            patch_records,
-        )
-
         patched = evicted = retained = 0
         for key in list(self._entries):
             entry = self._entries.get(key)
             if entry is None or entry.fragment.source != change.source:
                 continue
-            fragment = entry.fragment
-            if all(
-                access.relation != change.relation
-                for access in fragment.accesses
-            ):
+            outcome, applied = residency_decision(
+                entry.fragment, entry.rows, entry.bounds, change, key_field,
+                patch,
+            )
+            if outcome == "retained":
                 retained += 1
-                continue
-            if change.op != "reset" and key_field is not None:
-                key_var = change_key_var(fragment, change.relation, key_field)
-                if key_var is not None and not key_affected(
-                    fragment.conditions, key_var, change.key
-                ):
-                    retained += 1
-                    self.tracer.event("cache_change_excluded",
-                                      source=change.source, key=change.key)
-                    continue
-            applied = None
-            if patch and change.op != "reset" and key_field is not None:
-                plan = fragment_patch(fragment, change, key_field)
-                if plan is not None:
-                    applied = patch_records(entry.records, plan)
-            if applied is not None:
-                size = estimate_result_bytes(applied)
-                self.current_bytes += size - entry.size_bytes
-                entry.records = applied
-                entry.size_bytes = size
+            elif outcome == "excluded":
+                retained += 1
+                self.tracer.event("cache_change_excluded",
+                                  source=change.source, key=change.key)
+            elif outcome == "patched":
+                removed, added = applied
+                size = sum(map(record_bytes, added)) - sum(
+                    map(record_bytes, removed)
+                )
+                self.current_bytes += size
+                entry.size_bytes += size
                 entry.loaded_at = self.clock.now
                 patched += 1
                 self.tracer.event("cache_change_patched",
                                   source=change.source, key=change.key,
-                                  rows=len(applied))
-                continue
-            self._drop(key)
-            evicted += 1
-            self.tracer.event("cache_change_evicted", source=change.source,
-                              key=change.key)
+                                  rows=len(entry.rows))
+            else:
+                self._drop(key)
+                evicted += 1
+                self.tracer.event("cache_change_evicted",
+                                  source=change.source, key=change.key)
         while self.current_bytes > self.max_bytes and self._entries:
             oldest_key = next(iter(self._entries))
             self._drop(oldest_key)

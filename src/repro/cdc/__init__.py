@@ -10,7 +10,8 @@ The subsystem that turns the warehouse tier from "fast but stale" into
 * :mod:`delta` — delta counterparts of the algebra operators, including
   grouped aggregation with retraction;
 * :mod:`scope` — mapping one change to the fragments it can affect:
-  key-range exclusion, in-place record patches.
+  key-range exclusion, in-place record patches over the keyed record
+  store every residency layer holds.
 
 Consumers: :class:`repro.materialize.incremental.IncrementalMaterializer`
 drains feeds into materialized views; the engine's ``sync_changes``
@@ -32,6 +33,8 @@ from repro.cdc.delta import (
 from repro.cdc.differ import NodeChange, diff_documents, row_key
 from repro.cdc.scope import (
     FragmentPatch,
+    KeyBounds,
+    KeyedRecords,
     change_key_var,
     fragment_patch,
     key_affected,
@@ -51,6 +54,8 @@ __all__ = [
     "DeltaSelect",
     "DeltaUnsupported",
     "FragmentPatch",
+    "KeyBounds",
+    "KeyedRecords",
     "NodeChange",
     "RowDelta",
     "change_key_var",

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.algebra.construct import ConstructTemplate, _numeric_or_self
+from repro.algebra.grouping import summable
 from repro.algebra.merge import (
     _build_one,
     _finish,
@@ -340,13 +341,21 @@ class DeltaGroups:
 
     # -- rendering --------------------------------------------------------
 
-    def finalize(self, base_rows: Iterable[BindingTuple]) -> list[Element]:
+    def finalize(self, base_rows: Iterable[BindingTuple],
+                 n_rows: int | None = None) -> list[Element]:
         """Elements in base-row first-seen group order, values from state.
 
         Exactly :func:`construct.build_elements`' grouping: the first
         base row of each group is its representative, groups emit in
-        first-seen order.
+        first-seen order.  ``n_rows`` — the number of base rows, when
+        known without walking them — lets the walk stop once every live
+        group is rendered, provided the states' member counts add up to
+        it; otherwise every row is checked for a missing group state.
         """
+        if n_rows is not None and n_rows != sum(
+            state.members for state in self.groups.values()
+        ):
+            n_rows = None
         seen: set[tuple] = set()
         elements: list[Element] = []
         for row in base_rows:
@@ -362,6 +371,8 @@ class DeltaGroups:
                 for index, item in enumerate(self.aggregates)
             }
             elements.append(_build_one(self.template, row, synthetic))
+            if n_rows is not None and len(elements) == len(self.groups):
+                break
         return elements
 
     # -- internals --------------------------------------------------------
@@ -381,6 +392,8 @@ class DeltaGroups:
             return None
         if item.kind != "count":
             value = _numeric_or_self(value)
+            if item.kind in ("sum", "avg") and not summable(value):
+                return None
         return value
 
     def _fold(self, state: _DeltaGroupState, index: int, kind: str,

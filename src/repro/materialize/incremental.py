@@ -6,8 +6,10 @@ view, the raw records of every fragment the view reads plus a
 source's :class:`~repro.cdc.changelog.ChangeLog` past the high water,
 patches the kept records in place (:mod:`repro.cdc.scope`), and rebuilds
 the view's elements *locally* — no network calls, cost proportional to
-the delta, not the base.  Three maintenance modes, chosen per view at
-:meth:`maintain` time:
+the delta, not the base, on the virtual and the wall clock alike (the
+base records sit in a keyed store,
+:class:`~repro.cdc.scope.KeyedRecords`).  Three maintenance modes,
+chosen per view at :meth:`maintain` time:
 
 * ``groups`` — single-fragment aggregate views (flat construct
   template): changes propagate through the delta algebra
@@ -19,7 +21,11 @@ the delta, not the base.  Three maintenance modes, chosen per view at
   and the plan (joins, residual selects, sort, construct, limit) is
   re-run locally over them through the engine's own
   :class:`~repro.optimizer.planner.PlanBuilder` — the same code path a
-  fresh execution takes, so output is bit-identical;
+  fresh execution takes, so output is bit-identical.  When the view has
+  one unit, no ORDER BY/LIMIT/aggregates, and its root construct groups
+  by the unit's key variable, no root group spans two keys: the output
+  is kept as per-key element runs and a refresh re-runs the plan's
+  binding operators over the changed keys' records only;
 * ``full`` — everything else (dependent fragments, views-over-views,
   feeds without declared keys): a refresh re-runs the view query when
   any upstream feed moved.
@@ -40,10 +46,17 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.algebra import construct
 from repro.algebra.merge import collect_aggregates, flat_template
 from repro.algebra.tuples import BindingTuple
 from repro.cdc.delta import DeltaGroups, DeltaUnsupported, RowDelta, select_deltas
-from repro.cdc.scope import change_key_var, fragment_patch, patch_records
+from repro.cdc.scope import (
+    KeyedRecords,
+    KeyedRuns,
+    change_key_var,
+    fragment_patch,
+    patch_records,
+)
 from repro.errors import MediationError
 from repro.materialize.policy import RefreshPolicy
 from repro.mediator.schema import ViewDef
@@ -78,13 +91,13 @@ class _LocalContext:
 class UnitState:
     """One fragment unit's maintained base records plus its key wiring."""
 
-    __slots__ = ("unit", "key_field", "key_var", "records")
+    __slots__ = ("unit", "key_field", "key_var", "rows")
 
     def __init__(self, unit: FragmentUnit, key_field: str, key_var: str):
         self.unit = unit
         self.key_field = key_field
         self.key_var = key_var
-        self.records: list[Record] = []
+        self.rows = KeyedRecords()
 
     @property
     def relation(self) -> str:
@@ -105,7 +118,11 @@ class MaintainedView:
         #: source name -> last applied change sequence number
         self.high_water: dict[str, int] = {}
         self.groups: DeltaGroups | None = None
+        #: the construct template (groups mode, and rows-mode views
+        #: whose root groups by the unit's key)
         self.template = None
+        #: per-key output: each base key's element run, in key order
+        self.runs: KeyedRuns | None = None
         self.elements: list = []
         self.delta_refreshes = 0
         self.full_rebuilds = 0
@@ -115,7 +132,7 @@ class MaintainedView:
             "mode": self.mode,
             "delta_refreshes": self.delta_refreshes,
             "full_rebuilds": self.full_rebuilds,
-            "base_rows": sum(len(us.records) for us in self.units),
+            "base_rows": sum(len(us.rows) for us in self.units),
             "elements": len(self.elements),
         }
 
@@ -235,8 +252,15 @@ class IncrementalMaterializer:
             and query.limit is None
         ):
             template = template_to_construct(query.construct)
-            if collect_aggregates(template) and flat_template(template):
-                view.mode = "groups"
+            if collect_aggregates(template):
+                if flat_template(template):
+                    view.mode = "groups"
+                    view.template = template
+            elif units[0].key_var in (
+                template.direct_vars() or template.all_vars()
+            ):
+                # no root group spans two base keys: output can be kept
+                # as per-key element runs
                 view.template = template
         return view
 
@@ -269,7 +293,7 @@ class IncrementalMaterializer:
         else:
             context = engine._cdc_fetch_context()
             for state in view.units:
-                state.records = list(context.fetch_fragment(state.unit))
+                state.rows = KeyedRecords(context.fetch_fragment(state.unit))
             engine.cdc_stats.absorb(context.stats)
             self._rebuild_output(view)
         # captured *after* the fetch: everything at or below latest_seq
@@ -301,32 +325,69 @@ class IncrementalMaterializer:
         """Recompute the view's elements from the maintained base rows."""
         engine = self._engine()
         if view.mode == "groups":
-            filtered = self._filtered_rows(view)
+            filtered = list(self._filtered_rows(view))
             groups = DeltaGroups(view.template)
             for row in filtered:
                 groups.observe(row)
             view.groups = groups
             view.elements = groups.finalize(filtered)
             return
+        if view.template is not None:
+            state = view.units[0]
+            if state.rows.keyed(state.key_var) and all(
+                map(_separable, state.rows.keys())
+            ):
+                # one run of the plan, its construct input split by key
+                view.runs = KeyedRuns()
+                for key in state.rows.keys():
+                    view.runs.put(key, ())
+                self._refresh_runs(view, state.rows.records())
+                return
+            view.runs = None
         context = _LocalContext(
-            {id(state.unit): state.records for state in view.units}
+            {id(state.unit): state.rows.records() for state in view.units}
         )
         plan = engine.builder.build(view.decomposed, context)
         view.elements = plan.results()
 
-    def _filtered_rows(self, view: MaintainedView) -> list[BindingTuple]:
+    def _refresh_runs(self, view: MaintainedView, records: list) -> None:
+        """Rebuild the element runs of the keys ``records`` hold.
+
+        The plan's own binding operators run over just these records;
+        construct then runs once per key.  Every root group lies within
+        one key (the root groups by the key variable), so the runs
+        concatenated in key order are exactly the whole plan's output.
+        """
+        state = view.units[0]
+        context = _LocalContext({id(state.unit): records})
+        rows = self._engine().builder.build_binding_tree(
+            view.decomposed, context
+        )
+        run: list = []
+        run_key = None
+        for row in rows:
+            key = row.get(state.key_var)
+            if run and key != run_key:
+                view.runs.put(run_key, construct.build_elements(
+                    view.template, run
+                ))
+                run = []
+            run_key = key
+            run.append(row)
+        if run:
+            view.runs.put(run_key, construct.build_elements(view.template, run))
+        view.elements = view.runs.items()
+
+    def _filtered_rows(self, view: MaintainedView):
+        """The single unit's base rows after residual conditions, lazily."""
         predicates = [
             compile_predicate(condition)
             for condition in view.decomposed.residual_conditions
         ]
-        rows = [
-            BindingTuple(record.as_dict())
-            for record in view.units[0].records
-        ]
-        return [
-            row for row in rows
-            if all(predicate(row) for predicate in predicates)
-        ]
+        for record in view.units[0].rows.records():
+            row = BindingTuple(record.as_dict())
+            if all(predicate(row) for predicate in predicates):
+                yield row
 
     def _publish(self, view: MaintainedView) -> None:
         """Expose the elements through the materialization manager."""
@@ -353,10 +414,10 @@ class IncrementalMaterializer:
         group_deltas: list[RowDelta] = []
         delta_rows = 0
         changes = 0
-        # stage the patches; nothing is applied until every change fits
-        staged: dict[int, list[Record]] = {
-            id(state): list(state.records) for state in view.units
-        }
+        # keys whose element runs must be rebuilt (per-key output); a
+        # failed patch below leaves the state half-applied, which is
+        # fine: every failure path replaces the view by a full rebuild
+        changed: list = []
         for state in view.units:
             log = state.unit.source.changelog
             high_water = view.high_water.get(state.unit.source.name, 0)
@@ -369,14 +430,22 @@ class IncrementalMaterializer:
                                        state.key_field)
                 if patch is None:
                     return self._full_rebuild(view)
-                patched = patch_records(staged[id(state)], patch)
-                if patched is None:
+                if patch_records(state.rows, patch) is None:
                     return self._full_rebuild(view)
-                staged[id(state)] = patched
                 changes += 1
                 delta_rows += max(1, len(patch.rows) + len(patch.before_rows))
                 if view.mode == "groups":
                     group_deltas.extend(_patch_deltas(patch))
+                elif view.runs is not None:
+                    # mirror the store's key order: new keys append,
+                    # vanished keys leave, runs are filled in below
+                    if not _separable(patch.key):
+                        view.runs = None
+                    elif state.rows.run(patch.key):
+                        view.runs.put(patch.key, ())
+                        changed.append(patch.key)
+                    else:
+                        view.runs.pop(patch.key)
 
         if view.mode == "groups":
             filtered = select_deltas(
@@ -388,16 +457,19 @@ class IncrementalMaterializer:
             )
             try:
                 view.groups.apply_delta(filtered)
+                view.elements = view.groups.finalize(
+                    self._filtered_rows(view),
+                    None if view.decomposed.residual_conditions
+                    else len(view.units[0].rows),
+                )
             except DeltaUnsupported:
                 return self._full_rebuild(view)
-
-        for state in view.units:
-            state.records = staged[id(state)]
-        if view.mode == "groups":
-            try:
-                view.elements = view.groups.finalize(self._filtered_rows(view))
-            except DeltaUnsupported:
-                return self._full_rebuild(view)
+        elif view.runs is not None:
+            rows = view.units[0].rows
+            self._refresh_runs(view, [
+                record for key in dict.fromkeys(changed)
+                for record in rows.run(key)
+            ])
         else:
             self._rebuild_output(view)
         # the refresh costs local delta work, never network
@@ -422,6 +494,7 @@ class IncrementalMaterializer:
             raise MediationError(
                 f"maintained view {view.name!r} no longer resolves to a view"
             )
+        view.epoch = None  # should the reload fail, never delta-patch again
         fresh = self._plan_view(view.name, resolved)
         fresh.delta_refreshes = view.delta_refreshes
         fresh.full_rebuilds = view.full_rebuilds + 1
@@ -441,6 +514,20 @@ class IncrementalMaterializer:
 
     def summary(self) -> dict[str, Any]:
         return {name: view.summary() for name, view in self.views.items()}
+
+
+def _separable(key) -> bool:
+    """Is model grouping on ``key`` exactly its Python equality?
+
+    Then rows of two distinct base keys never fall into one construct
+    group.  Not so for ints beyond 2**53 (two of them share one float)
+    or NaN (records under one NaN object group together).
+    """
+    if isinstance(key, (str, bool)):
+        return True
+    if isinstance(key, int):
+        return -(2 ** 53) <= key <= 2 ** 53
+    return isinstance(key, float) and key == key
 
 
 def _patch_deltas(patch) -> list[RowDelta]:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from repro.cdc.scope import KeyBounds, KeyedRecords, residency_decision
 from repro.errors import MaterializationError
 from repro.materialize.matching import fragment_key
 from repro.materialize.policy import RefreshPolicy
@@ -12,31 +12,38 @@ from repro.sources.base import Fragment
 from repro.xmldm.values import Record
 
 
-@dataclass
 class MaterializedView:
     """One materialized fragment: definition, rows, freshness state."""
 
-    fragment: Fragment
-    records: list[Record]
-    loaded_at: float
-    policy: RefreshPolicy
-    invalidated: bool = False
-    hits: int = 0
-    refreshes: int = 0
+    def __init__(self, fragment: Fragment, records: list[Record],
+                 loaded_at: float, policy: RefreshPolicy) -> None:
+        self.fragment = fragment
+        self.rows = KeyedRecords(records)
+        #: the fragment's key bounds, resolved once for scoped invalidation
+        self.bounds = KeyBounds(fragment.conditions)
+        self.loaded_at = loaded_at
+        self.policy = policy
+        self.invalidated = False
+        self.hits = 0
+        self.refreshes = 0
 
     @property
     def key(self) -> str:
         return fragment_key(self.fragment)
 
     @property
+    def records(self) -> list[Record]:
+        return self.rows.records()
+
+    @property
     def row_count(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     def is_fresh(self, now_ms: float) -> bool:
         return self.policy.is_fresh(now_ms - self.loaded_at, self.invalidated)
 
     def reload(self, records: list[Record], now_ms: float) -> None:
-        self.records = records
+        self.rows = KeyedRecords(records)
         self.loaded_at = now_ms
         self.invalidated = False
         self.refreshes += 1
@@ -88,45 +95,26 @@ class LocalStore:
 
         The same per-entry decision as
         :meth:`repro.cache.fragmentcache.FragmentResultCache.apply_change`
-        — retain when the change provably misses the fragment, patch the
-        records in place when the shape allows, otherwise mark the view
-        invalidated (its next serve falls through to the source).
+        (:func:`repro.cdc.scope.residency_decision`) — retain when the
+        change provably misses the fragment, patch the records in place
+        when the shape allows, otherwise mark the view invalidated (its
+        next serve falls through to the source).
         Returns ``(patched, invalidated, retained)``.
         """
-        from repro.cdc.scope import (
-            change_key_var,
-            fragment_patch,
-            key_affected,
-            patch_records,
-        )
-
         patched = invalidated = retained = 0
         for view in self._views.values():
-            fragment = view.fragment
-            if fragment.source != change.source:
+            if view.fragment.source != change.source:
                 continue
-            if all(
-                access.relation != change.relation
-                for access in fragment.accesses
-            ):
+            outcome, _ = residency_decision(
+                view.fragment, view.rows, view.bounds, change, key_field,
+                patch,
+            )
+            if outcome in ("retained", "excluded"):
                 retained += 1
-                continue
-            if change.op != "reset" and key_field is not None:
-                key_var = change_key_var(fragment, change.relation, key_field)
-                if key_var is not None and not key_affected(
-                    fragment.conditions, key_var, change.key
-                ):
-                    retained += 1
-                    continue
-            applied = None
-            if patch and change.op != "reset" and key_field is not None:
-                plan = fragment_patch(fragment, change, key_field)
-                if plan is not None:
-                    applied = patch_records(view.records, plan)
-            if applied is not None:
-                view.records = applied
+            elif outcome == "patched" and not view.invalidated:
+                # an invalidated view missed an earlier change: patching
+                # it does not make it fresh, only a reload does
                 view.loaded_at = now_ms
-                view.invalidated = False
                 patched += 1
             else:
                 view.invalidated = True

@@ -92,6 +92,18 @@ def build_deployment(rows, faults=None, **engine_kw):
         "<mean>avg($v)</mean></g>",
     ))
     schema.define(ViewDef.from_text(
+        # rows mode, root grouped by the key, plus a residual condition
+        "keyed_rows",
+        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items", '
+        "$v + 1 > 5 CONSTRUCT <r k=$k><g>$g</g><v>$v</v></r>",
+    ))
+    schema.define(ViewDef.from_text(
+        # rows mode whose root groups by a non-key: whole-plan output
+        "values_only",
+        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
+        "CONSTRUCT <r>$v</r>",
+    ))
+    schema.define(ViewDef.from_text(
         "group_extremes",
         'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
         "CONSTRUCT <g id=$g><lo>min($v)</lo><hi>max($v)</hi></g>",
@@ -378,29 +390,218 @@ class TestScope:
         assert key_affected([_condition("<", "k", 10)], "k", True)
 
     def test_patch_records_insert_appends(self):
-        from repro.cdc import FragmentPatch
+        from repro.cdc import FragmentPatch, KeyedRecords
         from repro.xmldm.values import Record
 
-        records = [Record({"k": 1, "v": 2})]
+        records = KeyedRecords([Record({"k": 1, "v": 2})])
         patch = FragmentPatch("insert", "k", 5, rows=(Record({"k": 5, "v": 9}),))
-        assert patch_records(records, patch)[-1].get("k") == 5
+        assert patch_records(records, patch) is not None
+        assert records.records()[-1].get("k") == 5
 
     def test_patch_records_flip_in_unpatchable(self):
-        from repro.cdc import FragmentPatch
+        from repro.cdc import FragmentPatch, KeyedRecords
         from repro.xmldm.values import Record
 
-        records = [Record({"k": 1, "v": 2})]
+        records = KeyedRecords([Record({"k": 1, "v": 2})])
         patch = FragmentPatch("update", "k", 5, rows=(Record({"k": 5, "v": 9}),))
         assert patch_records(records, patch) is None
 
     def test_patch_records_flip_out_deletes_in_place(self):
-        from repro.cdc import FragmentPatch
+        from repro.cdc import FragmentPatch, KeyedRecords
         from repro.xmldm.values import Record
 
-        records = [Record({"k": 1, "v": 2}), Record({"k": 5, "v": 3})]
+        records = KeyedRecords([Record({"k": 1, "v": 2}), Record({"k": 5, "v": 3})])
         patch = FragmentPatch("update", "k", 5, rows=())
-        patched = patch_records(records, patch)
+        assert patch_records(records, patch) is not None
+        patched = records.records()
         assert [record.get("k") for record in patched] == [1]
+
+
+# -- keyed patching against the list algorithm ---------------------------------
+
+
+def reference_patch(records, patch):
+    """The list-scanning patch the keyed store replaced, kept as oracle."""
+    positions = [
+        index
+        for index, record in enumerate(records)
+        if record.get(patch.key_var) == patch.key
+    ]
+    if patch.op == "insert":
+        if positions:
+            return None
+        return records + list(patch.rows)
+    if patch.op == "update" and not positions:
+        return list(records) if not patch.rows else None
+    if patch.op == "delete" or not patch.rows:
+        keep = set(positions)
+        return [r for i, r in enumerate(records) if i not in keep]
+    if len(positions) != len(patch.rows):
+        return None
+    patched = list(records)
+    for index, row in zip(positions, patch.rows):
+        patched[index] = row
+    return patched
+
+
+def representable(records, key_var="k") -> bool:
+    """Can the list be held as contiguous key runs?  (NaN equals nothing.)"""
+    runs = []
+    for record in records:
+        key = record.get(key_var)
+        try:
+            hash(key)
+        except TypeError:
+            return False
+        if key != key:
+            runs.append(key)  # a run of its own, never extended
+            continue
+        if runs and runs[-1] == key:
+            continue
+        if any(prev == key for prev in runs):
+            return False
+        runs.append(key)
+    return True
+
+
+def _ids(records):
+    return [id(record) for record in records]
+
+
+def reference_key_affected(conditions, key_var, key):
+    """key_affected as it was: two implies() calls per condition."""
+    from repro.materialize.matching import implies
+
+    if not isinstance(key, (int, float, str)) or isinstance(key, bool):
+        return True
+    var, literal = qast.Var(key_var), qast.Literal(key)
+    return not any(
+        implies(condition, qast.BinOp("<", var, literal))
+        or implies(condition, qast.BinOp(">", var, literal))
+        for condition in conditions
+    )
+
+
+if HAVE_HYPOTHESIS:
+    from repro.cdc import FragmentPatch, KeyBounds, KeyedRecords
+    from repro.cache.fragmentcache import estimate_result_bytes, record_bytes
+    from repro.xmldm.values import NULL, Collection, Record
+
+    NAN = float("nan")
+    #: each key with the values equal to it (rows of a patch carry one)
+    KEY_CLASSES = {
+        "one": (1, 1.0, True),
+        "text-one": ("1",),
+        "two": (2, 2.0),
+        "nan": (NAN, float("nan")),
+        "null": (NULL,),
+        "unhashable": (Collection([1]),),
+    }
+    KEY_VALUES = st.sampled_from(
+        [value for values in KEY_CLASSES.values() for value in values]
+        + [0, 3, "a"]
+    )
+
+    @st.composite
+    def keyed_lists(draw):
+        keys = draw(st.lists(KEY_VALUES, max_size=8))
+        fanout = draw(st.lists(st.integers(1, 2), min_size=len(keys),
+                               max_size=len(keys)))
+        return [
+            Record({"k": key, "v": f"{index}.{n}"})
+            for index, (key, count) in enumerate(zip(keys, fanout))
+            for n in range(count)
+        ]
+
+    @st.composite
+    def patches(draw):
+        key = draw(st.sampled_from(
+            [values[0] for values in KEY_CLASSES.values()] + [0, 3, "a"]
+        ))
+        same = next((values for values in KEY_CLASSES.values()
+                     if key in values or key is values[0]), (key,))
+        n_rows = draw(st.integers(0, 2))
+        rows = tuple(
+            Record({"k": draw(st.sampled_from(same)), "v": f"p{n}"})
+            for n in range(n_rows)
+        )
+        op = draw(st.sampled_from(["insert", "update", "delete"]))
+        if op == "delete":
+            return FragmentPatch(op, "k", key, before_rows=rows)
+        return FragmentPatch(op, "k", key, rows=rows)
+
+    CONDITION_VARS = st.sampled_from(["k", "v"])
+    LITERALS = st.one_of(
+        st.integers(-3, 3), st.sampled_from([0.5, 2.0, NAN, True]),
+        st.sampled_from(["a", "b", ""]),
+    )
+
+    def _leaf_condition(draw):
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
+        var = qast.Var(draw(CONDITION_VARS))
+        literal = qast.Literal(draw(LITERALS))
+        if draw(st.booleans()):
+            return qast.BinOp(op, literal, var)
+        return qast.BinOp(op, var, literal)
+
+    @st.composite
+    def conditions(draw, depth=2):
+        if depth and draw(st.integers(0, 2)) == 0:
+            return qast.BinOp(
+                draw(st.sampled_from(["AND", "OR"])),
+                draw(conditions(depth - 1)), draw(conditions(depth - 1)),
+            )
+        return _leaf_condition(draw)
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestKeyedPatchProperty:
+    """The keyed store patches exactly like the list algorithm it replaced."""
+
+    @given(records=keyed_lists() if HAVE_HYPOTHESIS else None,
+           stream=st.lists(patches(), min_size=1, max_size=6)
+           if HAVE_HYPOTHESIS else None)
+    @settings(max_examples=400, deadline=None)
+    def test_keyed_patch_matches_list_algorithm(self, records, stream):
+        store = KeyedRecords(records)
+        size = estimate_result_bytes(records)
+        for patch in stream:
+            before = list(store.records())
+            want = reference_patch(before, patch)
+            got = patch_records(store, patch)
+            if got is None:
+                # declines only where the list algorithm refuses too, or
+                # where a list (before or after) has no keyed form
+                assert want is None or not representable(before) or (
+                    not representable(want)
+                )
+                assert _ids(store.records()) == _ids(before)  # untouched
+                if want is not None:
+                    return  # the owner evicts / rebuilds from here
+                continue
+            assert want is not None
+            assert _ids(store.records()) == _ids(want)
+            assert len(store) == len(want)
+            removed, added = got
+            assert sorted(_ids(before) + _ids(added)) == sorted(
+                _ids(want) + _ids(removed)
+            )
+            size += sum(map(record_bytes, added)) - sum(
+                map(record_bytes, removed)
+            )
+            assert size == estimate_result_bytes(store.records())
+
+    @given(conds=st.lists(conditions(), max_size=3) if HAVE_HYPOTHESIS
+           else None,
+           key=st.one_of(st.integers(-4, 4), st.floats(-4, 4),
+                         st.sampled_from([NAN, True, None, "a", "b", "ab"]))
+           if HAVE_HYPOTHESIS else None,
+           var=CONDITION_VARS if HAVE_HYPOTHESIS else None)
+    @settings(max_examples=400, deadline=None)
+    def test_key_bounds_decide_like_implies(self, conds, key, var):
+        assert KeyBounds(conds).affected(var, key) == reference_key_affected(
+            conds, var, key
+        )
 
 
 # -- scoped cache invalidation ------------------------------------------------
@@ -456,6 +657,39 @@ class TestScopedCacheInvalidation:
         source.changelog.emit_reset("t")
         report = engine.sync_changes()
         assert report["cache_evicted"] >= 1
+
+
+class TestScopedStoreInvalidation:
+    BIG = ('WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items", '
+           "$v > 5 CONSTRUCT <r>$k</r>")
+
+    def _materialized(self, rows):
+        engine, source = build_deployment(rows)
+        fragment = engine._compile(parse_query(self.BIG)).units[0].fragment
+        view = engine.materializer.materialize(fragment, source.execute)
+        return engine, source, view
+
+    def test_patch_in_place(self):
+        rows = seeded_rows(12)
+        engine, source, view = self._materialized(rows)
+        inside = next(k for (k, _, v) in rows if v > 5)
+        source.update_row("t", inside, {"v": 50})
+        report = engine.sync_changes()
+        assert report["store_patched"] == 1
+        assert not view.invalidated
+        assert view.records == source.execute(view.fragment)
+
+    def test_invalidated_view_stays_invalidated(self):
+        rows = seeded_rows(12)
+        engine, source, view = self._materialized(rows)
+        outside = next(k for (k, _, v) in rows if v <= 5)
+        inside = next(k for (k, _, v) in rows if v > 5)
+        source.update_row("t", outside, {"v": 40})  # flips in: unpatchable
+        assert engine.sync_changes()["store_invalidated"] == 1
+        source.update_row("t", inside, {"v": 50})  # patchable on its own
+        report = engine.sync_changes()
+        assert report["store_patched"] == 0
+        assert view.invalidated  # still missing the flipped-in row
 
 
 # -- incremental maintenance (deterministic) ----------------------------------
@@ -625,7 +859,7 @@ def _apply_ops(source, ops):
             live.discard(key)
 
 
-VIEW_NAMES = ("big_items", "by_group", "group_extremes")
+VIEW_NAMES = ("big_items", "by_group", "group_extremes", "keyed_rows")
 
 OPS = st.lists(
     st.tuples(
@@ -668,6 +902,19 @@ class TestBitIdentityProperty:
                 assert maintained_elements(engine, name) == fresh_elements(
                     engine, name
                 ), name
+            if cache:
+                # patched entries moved their size by the patched
+                # records' bytes only: still the full estimate
+                from repro.cache.fragmentcache import estimate_result_bytes
+
+                cache_ = engine.fragment_cache
+                for entry in cache_._entries.values():
+                    assert entry.size_bytes == estimate_result_bytes(
+                        entry.rows.records()
+                    )
+                assert cache_.current_bytes == sum(
+                    entry.size_bytes for entry in cache_._entries.values()
+                )
         if sharded:
             # the maintained answer also matches a sharded scatter-gather
             # execution over a fresh partition of the mutated data
@@ -681,3 +928,157 @@ class TestBitIdentityProperty:
                 assert maintained_elements(engine, name) == [
                     serialize(e) for e in routed.elements
                 ], name
+
+
+# -- per-key view output --------------------------------------------------------
+
+
+def xml_rows_document(rows) -> str:
+    """<t><row><id>..</id><tag>..</tag>*</row>*</t> from (id, tags) pairs."""
+    return "<t>" + "".join(
+        f"<row><id>{key}</id>" + "".join(f"<tag>{tag}</tag>" for tag in tags)
+        + "</row>"
+        for key, tags in rows
+    ) + "</t>"
+
+
+def build_xml_deployment(rows):
+    clock = SimClock()
+    registry = SourceRegistry(clock)
+    xml = XMLSource("x", {"rows": xml_rows_document(rows)},
+                    network=NetworkModel(latency_ms=10.0))
+    registry.register(xml)
+    xml.enable_cdc({"rows": "id"})
+    catalog = Catalog(registry)
+    schema = MediatedSchema("m")
+    schema.define(ViewDef.from_text(
+        # one row fans out to a record per tag; the root groups by $i
+        "tagged",
+        'WHERE <row><id>$i</id><tag>$t</tag></row> IN "x.rows" '
+        "CONSTRUCT <o id=$i><t>$t</t></o>",
+    ))
+    schema.define(ViewDef.from_text(
+        "tags_only",
+        'WHERE <row><id>$i</id><tag>$t</tag></row> IN "x.rows" '
+        "CONSTRUCT <o>$t</o>",
+    ))
+    catalog.add_schema(schema)
+    engine = NimbleEngine(catalog, materializer=MaterializationManager(clock),
+                          incremental=True)
+    return engine, xml
+
+
+if HAVE_HYPOTHESIS:
+    XML_ROWS = st.lists(
+        st.tuples(st.integers(0, 9),
+                  st.lists(st.sampled_from(["a", "b", "c"]), max_size=3)),
+        max_size=6,
+        unique_by=lambda row: row[0],
+    )
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestPerKeyOutputProperty:
+    """Per-key element runs concatenate to exactly the whole plan's output."""
+
+    @given(n_rows=st.integers(2, 20), seed=st.integers(1, 50),
+           batches=st.lists(OPS, min_size=1, max_size=3)
+           if HAVE_HYPOTHESIS else None)
+    @settings(max_examples=30, deadline=None)
+    def test_relational_per_key_equals_whole_plan(self, n_rows, seed, batches):
+        engine, source = build_deployment(seeded_rows(n_rows, seed))
+        names = ("keyed_rows", "big_items", "values_only")
+        for name in names:
+            engine.maintain_view(name)
+        views = engine.incremental.views
+        for ops in batches:
+            _apply_ops(source, ops)
+            engine.sync_changes()
+            for name in names:
+                assert maintained_elements(engine, name) == fresh_elements(
+                    engine, name
+                ), name
+            assert views["keyed_rows"].runs is not None
+            assert views["values_only"].runs is None
+
+    @given(versions=st.lists(XML_ROWS, min_size=2, max_size=4)
+           if HAVE_HYPOTHESIS else None)
+    @settings(max_examples=30, deadline=None)
+    def test_xml_fanout_per_key_equals_whole_plan(self, versions):
+        engine, xml = build_xml_deployment(versions[0])
+        for name in ("tagged", "tags_only"):
+            engine.maintain_view(name)
+        assert engine.incremental.views["tagged"].runs is not None
+        assert engine.incremental.views["tags_only"].runs is None
+        for rows in versions[1:]:
+            xml.replace_document("rows", xml_rows_document(rows))
+            engine.sync_changes()
+            for name in ("tagged", "tags_only"):
+                assert maintained_elements(engine, name) == fresh_elements(
+                    engine, name
+                ), name
+
+
+# -- sum/avg over non-numeric text ----------------------------------------------
+
+
+def build_text_deployment(rows):
+    """A CDC table whose aggregated column is TEXT, mixed numeric/not."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, grp INTEGER, v TEXT)")
+    db.insert_rows("t", rows)
+    clock = SimClock()
+    registry = SourceRegistry(clock)
+    source = RelationalSource("s", db, network=NetworkModel(latency_ms=5.0))
+    registry.register(source)
+    source.enable_cdc()
+    catalog = Catalog(registry)
+    catalog.map_relation("items", "s", "t")
+    schema = MediatedSchema("m")
+    schema.define(ViewDef.from_text(
+        "text_totals",
+        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
+        "CONSTRUCT <g id=$g><n>count($v)</n><total>sum($v)</total>"
+        "<mean>avg($v)</mean></g>",
+    ))
+    catalog.add_schema(schema)
+    engine = NimbleEngine(catalog, materializer=MaterializationManager(clock),
+                          incremental=True)
+    return engine, source
+
+
+class TestNonNumericAggregates:
+    ROWS = [(1, 0, "5"), (2, 0, "abc"), (3, 0, "2.5"), (4, 1, "x"),
+            (5, 1, None), (7, 2, "3"), (8, 2, "")]
+
+    def test_query_skips_non_numeric_text(self):
+        engine, _ = build_text_deployment(self.ROWS)
+        result = engine.query('WHERE <i><grp>$g</grp><v>$v</v></i> IN "items" '
+                              "CONSTRUCT <g id=$g><total>sum($v)</total>"
+                              "<mean>avg($v)</mean><n>count($v)</n></g>")
+        texts = [serialize(e) for e in result.elements][:2]
+        # "abc" is skipped like NULL: avg divides by the two summed values
+        assert texts[0] == ('<g id="0"><total>7.5</total><mean>3.75</mean>'
+                            "<n>3</n></g>")
+        # nothing summable: sum and avg are NULL (empty), count still counts
+        assert texts[1] == '<g id="1"><total/><mean/><n>1</n></g>'
+
+    def test_maintained_view_stays_bit_identical(self):
+        engine, source = build_text_deployment(self.ROWS)
+        engine.maintain_view("text_totals")
+        assert maintained_elements(engine, "text_totals") == fresh_elements(
+            engine, "text_totals"
+        )
+        # integer-valued text only where a value is retracted: float
+        # retraction has its own last-ulp caveat (see repro.cdc.delta)
+        source.update_row("t", 7, {"v": "abc"})
+        source.update_row("t", 8, {"v": "4"})
+        source.update_row("t", 4, {"v": "n/a"})
+        source.insert_row("t", {"k": 6, "grp": 1, "v": "7"})
+        source.insert_row("t", {"k": 9, "grp": 2, "v": "?"})
+        source.delete_row("t", 2)
+        report = engine.sync_changes()
+        assert report["views"]["text_totals"] == "delta"
+        assert maintained_elements(engine, "text_totals") == fresh_elements(
+            engine, "text_totals"
+        )
